@@ -109,8 +109,11 @@ struct Cli {
         "128)\n"
         "  --bottomup-chunk  hybrid: vertices per bottom-up range claim\n"
         "                    (default 0 = derive from n/threads)\n"
-        "  --alpha, --beta   hybrid direction-switch thresholds\n"
-        "                    (defaults 14, 24; Beamer et al.)\n"
+        "  --alpha, --beta   hybrid direction switch (Beamer et al.;\n"
+        "                    defaults 14, 24): bottom-up once a growing\n"
+        "                    frontier's out-edges exceed unexplored/alpha,\n"
+        "                    top-down once a shrinking frontier falls\n"
+        "                    below n/beta\n"
         "  --compress        run on the delta+varint compressed CSR\n"
         "                    backend (decode-on-scan; trades varint ALU\n"
         "                    for DRAM bytes — wins when bandwidth-bound)\n"

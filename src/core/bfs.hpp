@@ -145,10 +145,10 @@ struct BfsOptions {
     /// traffic. Measured in bench/ablation_tuning.
     bool remote_sender_filter = false;
 
-    /// kHybrid: switch top-down -> bottom-up when the frontier's
-    /// unexplored out-edges exceed (remaining edges)/alpha, and back
-    /// when the frontier shrinks below vertices/beta. Beamer et al.'s
-    /// defaults.
+    /// kHybrid: switch top-down -> bottom-up when a growing frontier's
+    /// out-edges exceed (unexplored edges)/alpha, and back when a
+    /// shrinking frontier falls below vertices/beta. Beamer et al.'s
+    /// rule and defaults.
     double hybrid_alpha = 14.0;
     double hybrid_beta = 24.0;
 

@@ -18,20 +18,18 @@ namespace sge::detail {
 
 namespace {
 
-/// Direction of one BFS level.
-enum class Direction { kTopDown, kBottomUp };
-
 /// Extension engine: direction-optimizing BFS (Beamer, Asanović,
 /// Patterson, SC'12) layered on the paper's substrates.
 ///
-/// Top-down levels run exactly like Algorithm 2. When the frontier's
-/// pending out-edges exceed 1/alpha of the still-unexplored edges, the
-/// traversal flips *bottom-up*: every unvisited vertex scans its own
-/// adjacency for any parent in the current frontier and stops at the
-/// first hit. On low-diameter power-law graphs (the paper's R-MAT
-/// workload) the two or three explosive middle levels touch a small
-/// fraction of their edges this way. The engine flips back once the
-/// frontier shrinks below n/beta.
+/// Top-down levels run exactly like Algorithm 2. When a growing
+/// frontier's pending out-edges exceed 1/alpha of the still-unexplored
+/// edges, the traversal flips *bottom-up*: every unvisited vertex scans
+/// its own adjacency for any parent in the current frontier and stops
+/// at the first hit. On low-diameter power-law graphs (the paper's
+/// R-MAT workload) the two or three explosive middle levels touch a
+/// small fraction of their edges this way. The engine flips back once a
+/// shrinking frontier falls below n/beta (next_direction in
+/// engine_common.hpp holds the rule).
 ///
 /// Requires a symmetric graph (the builder default): bottom-up uses
 /// out-edges as in-edges. BfsResult::edges_traversed keeps the library
@@ -98,6 +96,8 @@ void bfs_hybrid_impl(const Graph& g, vertex_t root, const BfsOptions& options,
         bool cancelled = false;  // written by tid 0 between barriers
         // Atomic so the watchdog may snapshot it mid-run.
         std::atomic<std::uint32_t> levels_run{0};
+        // Size of the frontier being expanded: the direction rule's
+        // growth test compares the next frontier against it.
         std::uint64_t frontier_size = 1;
     } shared;
 
@@ -323,24 +323,11 @@ void bfs_hybrid_impl(const Graph& g, vertex_t root, const BfsOptions& options,
                     total_edges_x2 -
                     shared.explored_degree.load(std::memory_order_relaxed);
 
-                Direction next = shared.direction;
-                if (shared.direction == Direction::kTopDown) {
-                    // Flip only when the frontier's pending edges dwarf
-                    // the unexplored pool AND the frontier itself is
-                    // wide enough that an O(n) bottom-up sweep can pay
-                    // off — the size guard prevents tail oscillation on
-                    // high-diameter graphs once the edge pool runs dry.
-                    if (static_cast<double>(next_degree) >
-                            static_cast<double>(unexplored) /
-                                options.hybrid_alpha &&
-                        static_cast<double>(next_size) >
-                            static_cast<double>(n) / options.hybrid_beta)
-                        next = Direction::kBottomUp;
-                } else {
-                    if (static_cast<double>(next_size) <
-                        static_cast<double>(n) / options.hybrid_beta)
-                        next = Direction::kTopDown;
-                }
+                const Direction next = next_direction(
+                    shared.direction,
+                    {shared.frontier_size, next_size, next_degree, unexplored,
+                     n},
+                    options.hybrid_alpha, options.hybrid_beta);
 
                 shared.convert_to_bits =
                     next == Direction::kBottomUp &&

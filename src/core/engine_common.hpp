@@ -682,6 +682,50 @@ inline std::size_t resolve_bottomup_chunk(const BfsOptions& options,
     return derived < 64 ? 64 : (derived > 4096 ? 4096 : derived);
 }
 
+// ---------------------------------------------------------------------
+// Direction switch (kHybrid).
+// ---------------------------------------------------------------------
+
+/// Direction of one BFS level.
+enum class Direction { kTopDown, kBottomUp };
+
+/// The counts a finished level hands to the direction rule.
+struct LevelCounts {
+    std::uint64_t frontier_size = 0;  // vertices expanded this level
+    std::uint64_t next_size = 0;      // vertices it discovered
+    std::uint64_t next_degree = 0;    // their summed out-degree
+    std::uint64_t unexplored = 0;     // arcs of the still-unvisited vertices
+    std::uint64_t n = 0;              // vertices in the graph
+};
+
+/// Beamer, Asanović and Patterson's direction rule (SC'12, Fig. 6),
+/// picking the next level's direction from the level just run:
+///
+///  - top-down -> bottom-up once the new frontier's out-edges exceed
+///    unexplored/alpha AND the frontier grew;
+///  - bottom-up -> top-down once the new frontier falls below n/beta
+///    AND it shrank.
+///
+/// The growth conditions keep a shrinking tail top-down: on a
+/// high-diameter graph the unexplored pool drains while the frontier
+/// stays narrow, and an O(n) bottom-up sweep there would find little.
+[[nodiscard]] inline Direction next_direction(Direction current,
+                                              const LevelCounts& c,
+                                              double alpha,
+                                              double beta) noexcept {
+    if (current == Direction::kTopDown)
+        return static_cast<double>(c.next_degree) >
+                           static_cast<double>(c.unexplored) / alpha &&
+                       c.next_size > c.frontier_size
+                   ? Direction::kBottomUp
+                   : Direction::kTopDown;
+    return static_cast<double>(c.next_size) <
+                       static_cast<double>(c.n) / beta &&
+                   c.next_size < c.frontier_size
+               ? Direction::kTopDown
+               : Direction::kBottomUp;
+}
+
 /// Logical socket of every worker, in team order — the WorkQueue's
 /// steal-domain map.
 inline std::vector<int> team_socket_map(const ThreadTeam& team) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -341,7 +343,8 @@ TEST(CompressedCsrSize, BlobNeverBeatsOneByteMinimum) {
 class CompressedCsrIoTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "sge_zsr_test";
+        dir_ = std::filesystem::temp_directory_path() /
+               ("sge_zsr_test_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

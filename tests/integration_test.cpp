@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "analytics/connected_components.hpp"
 #include "analytics/level_histogram.hpp"
@@ -71,7 +74,8 @@ TEST(Integration, SaveLoadTraverseMatchesInMemory) {
     params.degree = 8;
     const CsrGraph g = csr_from_edges(generate_uniform(params));
 
-    const auto dir = std::filesystem::temp_directory_path() / "sge_integ";
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("sge_integ_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
     const std::string path = (dir / "u.csr").string();
     write_csr(g, path);

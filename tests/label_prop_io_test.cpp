@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 #include <map>
 #include <set>
 
@@ -122,7 +125,8 @@ TEST(LabelPropagation, EmptyGraph) {
 class WeightedIoTest : public ::testing::Test {
   protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "sge_wio_test";
+        dir_ = std::filesystem::temp_directory_path() /
+               ("sge_wio_test_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
